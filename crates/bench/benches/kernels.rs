@@ -1,14 +1,13 @@
-//! Criterion benches: every paper kernel across five axes — symmetric
+//! Criterion benches: every paper kernel across four axes — symmetric
 //! vs naive (the paper's comparison), compiled VM vs tree-walking
 //! interpreter (this reproduction's backend ablation), a threads axis
-//! on the compiled backend (row-parallel dispatch), a counter-off
-//! cell (`CounterMode::Off`, skipping per-hit counter bumps in the
-//! fused-body runners), and a lanes axis (the default cells run the
-//! explicit-lane runners; `-scalar` cells pin `LaneMode::Scalar`) — at
+//! on the compiled backend (row-parallel dispatch), and a lanes axis
+//! (the default cells run the explicit-lane runners; `-scalar` cells
+//! pin `LaneMode::Scalar`) — at
 //! a small fixed size (the figure binaries sweep the real workloads;
 //! these keep `cargo bench` fast and regression-friendly).
 //!
-//! Series names are `<kernel>/<variant>-<backend>[-tN|-nocount|-scalar]`,
+//! Series names are `<kernel>/<variant>-<backend>[-tN|-scalar]`,
 //! e.g. `ssymv/systec-compiled` (serial, lane mode) or
 //! `ssymv/systec-compiled-scalar` (serial, scalar folds). All cells
 //! run over reused output buffers and a
@@ -18,7 +17,7 @@
 //! After the run, the per-series medians are written as JSON to
 //! `bench_results/kernels.json` (schema: `{meta, kernels}` where
 //! `kernels` maps kernel → series → ns and `meta` stamps the run with
-//! the git SHA, host parallelism, UTC timestamp, and counter mode) so
+//! the git SHA, host parallelism and UTC timestamp) so
 //! the perf trajectory diffs across PRs *and* stays interpretable
 //! across machines.
 
@@ -26,7 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use criterion::{criterion_group, Criterion};
 use systec_kernels::{
-    defs, Backend, CounterMode, Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared,
+    defs, Backend, Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared,
 };
 use systec_tensor::generate::{
     random_dense, rng, sprand, symmetric_block_plateau, symmetric_erdos_renyi,
@@ -68,19 +67,6 @@ fn bench_grid(c: &mut Criterion, name: &str, def: &KernelDef, inputs: &HashMap<S
                     })
                 });
             }
-        }
-        // Counter-off cell: the serial compiled path with per-hit
-        // counter maintenance compiled out of the fused-body runners.
-        if variant == "systec" {
-            let runner = prepared.clone().with_backend(Backend::Compiled);
-            let mut outputs = HashMap::new();
-            let mut ctx = ExecContext::new().with_counter_mode(CounterMode::Off);
-            let mut counters = Counters::new();
-            group.bench_function(&format!("{variant}-compiled-nocount"), |b| {
-                b.iter(|| {
-                    runner.run_timed_into(&mut outputs, &mut ctx, &mut counters).expect("run")
-                })
-            });
         }
         // Lanes axis: the same serial compiled path with the
         // explicit-lane runners switched off, isolating what the lane
@@ -218,10 +204,7 @@ fn report_json(records: &[criterion::BenchRecord]) -> String {
     out.push_str("  \"meta\": {\n");
     out.push_str(&format!("    \"git_sha\": {:?},\n", git_sha()));
     out.push_str(&format!("    \"nproc\": {nproc},\n"));
-    out.push_str(&format!("    \"timestamp\": {:?},\n", utc_timestamp()));
-    out.push_str(
-        "    \"counter_mode\": \"exact (series suffixed -nocount run with counters off)\"\n",
-    );
+    out.push_str(&format!("    \"timestamp\": {:?}\n", utc_timestamp()));
     out.push_str("  },\n");
     out.push_str("  \"kernels\": {\n");
     let mut kernels = by_kernel.iter().peekable();

@@ -25,33 +25,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use systec_exec::CounterBank;
 
-/// How much counter bookkeeping an execution performs.
-///
-/// [`CounterMode::Exact`] (the default) maintains full
-/// [`systec_exec::Counters`] parity with the tree-walking interpreter —
-/// bulk accounting outside the hot loops plus per-hit bumps where miss
-/// semantics require them. [`CounterMode::Off`] compiles the per-hit
-/// bumps (and the fused bulk recipes) out of the fused-body runners via
-/// a const-generic flag: the counters returned from such a run are **not
-/// meaningful** and must not be compared against the interpreter. Use it
-/// when only the outputs matter and every nanosecond counts; parity
-/// tests always run in `Exact`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CounterMode {
-    /// Exact interpreter-parity counters (the default).
-    #[default]
-    Exact,
-    /// Skip counter maintenance in the fused-body runners.
-    Off,
-}
-
 /// Which execution mode the fused-body runners use for their
 /// reduction accumulators.
 ///
-/// [`LaneMode::Lanes`] (the default) spreads register-held reductions
-/// across a **fixed virtual lane count** ([`crate::vm::LANES`] = 8
-/// `f64` accumulators) and merges the lanes in a **fixed order** (lane
-/// 0 → 7) after the loop. Element *k* of a span always lands in lane
+/// Each special fused runner is one function generic over its lane
+/// width `L`. [`LaneMode::Lanes`] (the default) runs it at `L = 8`
+/// ([`crate::vm::LANES`] `f64` accumulators) on windows longer than
+/// [`crate::vm::LANE_MIN`], merging the lanes in a **fixed order**
+/// (lane 0 → 7) after the loop. Element *k* of a span always lands in lane
 /// `k % 8` regardless of thread count or chunking, so results are
 /// bit-deterministic across machines, thread counts and repeated runs
 /// — they are simply a *different* fixed association than the scalar
@@ -59,9 +40,10 @@ pub enum CounterMode {
 /// Breaking the loop-carried FP dependency is what lets the
 /// autovectorizer keep the accumulators in ymm/zmm.
 ///
-/// [`LaneMode::Scalar`] keeps the strict left-to-right fold of the
-/// tree-walking interpreter — use it when bit-for-bit agreement with
-/// the scalar reference association matters more than speed.
+/// [`LaneMode::Scalar`] runs every runner at `L = 1`: the strict
+/// left-to-right fold of the tree-walking interpreter — use it when
+/// bit-for-bit agreement with the scalar reference association matters
+/// more than speed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LaneMode {
     /// Strict left-to-right scalar accumulation.
@@ -152,32 +134,13 @@ impl Bank {
 #[derive(Debug, Default)]
 pub struct ExecContext {
     banks: Vec<Bank>,
-    counter_mode: CounterMode,
     lane_mode: LaneMode,
 }
 
 impl ExecContext {
-    /// A fresh context with no warmed buffers (and [`CounterMode::Exact`],
-    /// [`LaneMode::Lanes`]).
+    /// A fresh context with no warmed buffers (and [`LaneMode::Lanes`]).
     pub fn new() -> Self {
         ExecContext::default()
-    }
-
-    /// The counter mode runs through this context use.
-    pub fn counter_mode(&self) -> CounterMode {
-        self.counter_mode
-    }
-
-    /// Sets the counter mode for subsequent runs (see [`CounterMode`]).
-    pub fn set_counter_mode(&mut self, mode: CounterMode) {
-        self.counter_mode = mode;
-    }
-
-    /// Builder-style [`ExecContext::set_counter_mode`].
-    #[must_use]
-    pub fn with_counter_mode(mut self, mode: CounterMode) -> Self {
-        self.counter_mode = mode;
-        self
     }
 
     /// The lane mode runs through this context use.
@@ -219,9 +182,8 @@ impl ExecContext {
 /// `Mutex<Vec>` pop/push — **no allocation** once as many contexts exist
 /// as there are concurrent callers.
 ///
-/// Returned contexts keep their configuration ([`CounterMode`],
-/// [`LaneMode`]); callers that change it should set it explicitly after
-/// checkout.
+/// Returned contexts keep their configuration ([`LaneMode`]); callers
+/// that change it should set it explicitly after checkout.
 #[derive(Clone, Debug, Default)]
 pub struct ContextPool {
     inner: Arc<PoolInner>,
@@ -316,9 +278,7 @@ mod tests {
     fn serial_reuse_creates_one_context() {
         let pool = ContextPool::new();
         for _ in 0..5 {
-            let mut ctx = pool.checkout();
-            ctx.set_counter_mode(CounterMode::Exact);
-            drop(ctx);
+            drop(pool.checkout());
         }
         assert_eq!(pool.created(), 1, "serial checkout/return must reuse one context");
         assert_eq!(pool.idle(), 1);
@@ -355,11 +315,9 @@ mod tests {
         let pool = ContextPool::new();
         {
             let mut ctx = pool.checkout();
-            ctx.set_counter_mode(CounterMode::Off);
             ctx.set_lane_mode(LaneMode::Scalar);
         }
         let ctx = pool.checkout();
-        assert_eq!(ctx.counter_mode(), CounterMode::Off, "contexts keep their configuration");
         assert_eq!(ctx.lane_mode(), LaneMode::Scalar, "lane mode survives the round trip");
     }
 

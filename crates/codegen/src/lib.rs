@@ -28,9 +28,7 @@
 //!   registers, operands resolved to slices at loop entry, no
 //!   per-coordinate step dispatch, invariant counter contributions
 //!   accounted in bulk. Unmatched bodies keep the general step list —
-//!   selection never changes results or counters. A caller can
-//!   additionally trade counter exactness for speed with
-//!   [`CounterMode::Off`] on the [`ExecContext`].
+//!   selection never changes results or counters.
 //! * **Hoisted branches** — residual conditionals become explicit
 //!   compare-and-jump chains between basic blocks; loop bounds are
 //!   evaluated once at loop entry.
@@ -116,7 +114,7 @@ use systec_exec::{Counters, ExecError, LoweredProgram};
 use systec_tensor::{DenseTensor, Tensor};
 
 pub use cache::{BindingSig, CacheStats, PlanCache, PlanKey, SharedPlanCache};
-pub use context::{ContextPool, CounterMode, ExecContext, LaneMode, PooledContext};
+pub use context::{ContextPool, ExecContext, LaneMode, PooledContext};
 
 use systec_ir::AssignOp;
 

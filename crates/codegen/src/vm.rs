@@ -48,7 +48,7 @@ use crate::bytecode::{
     Bound, BytecodeProgram, FAcc, FFold, FLoad, FOp, Fused, FusedBody, Instr, ParOut, SplitInfo,
     Term, VItem, VStep, MISS,
 };
-use crate::context::{Bank, CounterMode, ExecContext, GatherBank, LaneMode};
+use crate::context::{Bank, ExecContext, GatherBank, LaneMode};
 use crate::fuse::{MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS};
 use crate::Parallelism;
 
@@ -650,67 +650,93 @@ impl Semi for DynSemi {
 // Lane primitives
 // ---------------------------------------------------------------------------
 
+/// The loop-invariant operands of a dot chain `[lead ∘] a [∘ mid] ∘ b`.
+///
+/// Flags plus values, not `Option<f64>`s: an absent operand still holds
+/// a defined value. The optimizer may evaluate the chain
+/// speculatively, and the undefined payload of a `None` can be any bit
+/// pattern a caller left in the register — often a subnormal, which
+/// costs a microcode assist on every element it touches (on a 2-core
+/// x86-64-v3 VM that made the laned dot of naive SSYMV rows 5–7×
+/// slower).
+#[derive(Clone, Copy)]
+struct Chain {
+    lead: f64,
+    has_lead: bool,
+    mid: f64,
+    has_mid: bool,
+}
+
+impl Chain {
+    /// The chain of a plain `a ∘ b` dot.
+    const PLAIN: Chain = Chain { lead: 0.0, has_lead: false, mid: 0.0, has_mid: false };
+}
+
 /// The invariant prefix of a dot chain: `[lead ∘] a [∘ mid]`.
 #[inline(always)]
-fn chain_prefix<S: Semi>(s: S, bin: BinOp, lead: Option<f64>, a: f64, mid: Option<f64>) -> f64 {
-    let mut v = match lead {
-        Some(l) => s.bin(bin, l, a),
-        None => a,
-    };
-    if let Some(k) = mid {
-        v = s.bin(bin, v, k);
+fn chain_prefix<S: Semi>(s: S, bin: BinOp, chain: Chain, a: f64) -> f64 {
+    let mut v = if chain.has_lead { s.bin(bin, chain.lead, a) } else { a };
+    if chain.has_mid {
+        v = s.bin(bin, v, chain.mid);
     }
     v
 }
 
 /// One lane step over a full chunk: `lanes[k] op= va[k] bin xa[k]` for
-/// every lane. Both formulations apply the same operations in the same
-/// order per lane, so outputs are bit-identical across the feature
-/// gate; the `simd` build expresses the step as whole-array maps — the
-/// exact shape a `std::simd` drop-in would take — which the optimizer
-/// keeps in vector registers more reliably on some toolchains.
-#[cfg(not(feature = "simd"))]
+/// every lane.
 #[inline(always)]
-fn lane_accumulate<S: Semi>(
+fn lane_accumulate<S: Semi, const L: usize>(
     s: S,
     bin: BinOp,
     op: AssignOp,
-    lanes: &mut [f64; LANES],
-    va: [f64; LANES],
-    xa: [f64; LANES],
+    lanes: &mut [f64; L],
+    va: [f64; L],
+    xa: [f64; L],
 ) {
-    for k in 0..LANES {
+    for k in 0..L {
         lanes[k] = s.red(op, lanes[k], s.bin(bin, va[k], xa[k]));
     }
 }
 
-/// One lane step over a full chunk (whole-array formulation; see the
-/// default build's doc for the bit-identity argument).
-#[cfg(feature = "simd")]
+/// The accumulators a width-`L` runner starts from. At `L = 1` the one
+/// lane *is* the entry accumulator, so the runner is the strict
+/// left-to-right fold of [`LaneMode::Scalar`]; wider runners seed every
+/// lane with the reduction's identity (their dispatch gates on one).
 #[inline(always)]
-fn lane_accumulate<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    lanes: &mut [f64; LANES],
-    va: [f64; LANES],
-    xa: [f64; LANES],
-) {
-    let prod: [f64; LANES] = std::array::from_fn(|k| s.bin(bin, va[k], xa[k]));
-    *lanes = std::array::from_fn(|k| s.red(op, lanes[k], prod[k]));
+fn lane_seed<const L: usize>(op: AssignOp, acc0: f64) -> [f64; L] {
+    if L == 1 {
+        [acc0; L]
+    } else {
+        [op.identity().expect("lane runners are gated on an identity"); L]
+    }
 }
 
-/// Merges the lane accumulators into the caller's scalar accumulator in
-/// fixed lane order (`acc0`, then lane `0 → LANES-1`) — the one place
-/// lane values recombine, so the merge order alone fixes the result
-/// bits for a given lane assignment.
+/// A width-`L` runner's result. At `L = 1` the lane already holds it;
+/// wider runners merge into the entry accumulator in fixed lane order
+/// (`acc0`, then lane `0 → L-1`) — the one place lane values recombine,
+/// so the merge order alone fixes the result bits for a given lane
+/// assignment.
 #[inline(always)]
-fn lane_merge<S: Semi>(s: S, op: AssignOp, acc0: f64, lanes: &[f64; LANES]) -> f64 {
+fn lane_merge<S: Semi, const L: usize>(s: S, op: AssignOp, acc0: f64, lanes: &[f64; L]) -> f64 {
+    if L == 1 {
+        return lanes[0];
+    }
     let mut acc = acc0;
     for &l in lanes {
         acc = s.red(op, acc, l);
     }
     acc
+}
+
+/// Whether a special runner runs at `L = LANES`: the context allows
+/// lanes, the reduction has an identity to seed them with (always true
+/// for the proven-uniform semirings; checked for the dynamic fallback),
+/// and the window is long enough to amortize the merge — shorter
+/// windows fold serially even in lane mode. A pure function of the
+/// drive window, so the choice is deterministic.
+#[inline(always)]
+fn lanes_pay(lanes: bool, op: AssignOp, span: usize) -> bool {
+    lanes && op.identity().is_some() && span > LANE_MIN
 }
 
 /// An entry-resolved per-coordinate load: dense operands are concrete
@@ -917,8 +943,7 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
 
 /// The fused analogue of [`VecRun`]: binding tables plus hit-dependent
 /// counter accumulators. Bulk (per-iteration) counters come from the
-/// body's compile-time recipe; with [`CounterMode::Off`] the `COUNT`
-/// flag compiles all counter maintenance out of the loops.
+/// body's compile-time recipe.
 struct FusedRun<'r, 'a, 'o> {
     u: &'r mut [usize],
     f: &'r mut [f64],
@@ -938,33 +963,16 @@ struct FusedRun<'r, 'a, 'o> {
 }
 
 impl<'a> FusedRun<'_, 'a, '_> {
-    /// Executes one fused loop under the context's counter mode.
+    /// Executes one fused loop.
     #[inline]
-    fn run_mode(
-        &mut self,
-        mode: CounterMode,
-        fu: &Fused,
-        drive: FDrive<'a>,
-        idx: usize,
-        iters: u64,
-    ) {
-        match mode {
-            CounterMode::Exact => self.run::<true>(fu, drive, idx, iters),
-            CounterMode::Off => self.run::<false>(fu, drive, idx, iters),
+    fn run(&mut self, fu: &Fused, drive: FDrive<'a>, idx: usize, iters: u64) {
+        // Invariant contributions in bulk, from the recipe derived off
+        // the step list this body replaces.
+        for &(t, n) in fu.bulk.reads.iter() {
+            self.reads[t] += n * iters;
         }
-    }
-
-    #[inline]
-    fn run<const COUNT: bool>(&mut self, fu: &Fused, drive: FDrive<'a>, idx: usize, iters: u64) {
-        if COUNT {
-            // Invariant contributions in bulk, from the recipe derived
-            // off the step list this body replaces.
-            for &(t, n) in fu.bulk.reads.iter() {
-                self.reads[t] += n * iters;
-            }
-            self.flops += fu.bulk.flops * iters;
-            self.writes += fu.bulk.writes * iters;
-        }
+        self.flops += fu.bulk.flops * iters;
+        self.writes += fu.bulk.writes * iters;
         // Closed-form loops for the canonical shapes run straight off
         // the compile-time form — entry cost is a handful of scalar
         // resolutions, which matters for short fibers entered many
@@ -977,7 +985,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
         // drive window — deterministic, like the special runners'.
         let use_lanes = self.lanes && fu.lanes > 1 && drive_span(&drive) > LANE_MIN;
         if matches!(fu.kind, FusedBody::Dot | FusedBody::DotAxpy)
-            && self.run_special::<COUNT>(fu, &drive, idx, use_lanes)
+            && self.run_special(fu, &drive, idx, use_lanes)
         {
             return;
         }
@@ -1002,12 +1010,12 @@ impl<'a> FusedRun<'_, 'a, '_> {
         let uniform = folds.iter().all(|fo| fo.bin == bin0 && fo.op == op0);
         match (uniform, bin0, op0) {
             (true, BinOp::Mul, AssignOp::Add) => {
-                self.drive_shape::<MulAddSemi, COUNT>(&mut body, MulAddSemi, drive)
+                self.drive_shape::<MulAddSemi>(&mut body, MulAddSemi, drive)
             }
             (true, BinOp::Add, AssignOp::Min) => {
-                self.drive_shape::<AddMinSemi, COUNT>(&mut body, AddMinSemi, drive)
+                self.drive_shape::<AddMinSemi>(&mut body, AddMinSemi, drive)
             }
-            _ => self.drive_shape::<DynSemi, COUNT>(&mut body, DynSemi, drive),
+            _ => self.drive_shape::<DynSemi>(&mut body, DynSemi, drive),
         }
         // Flush register-held accumulators: under lanes, merge the lane
         // array into the entry-seeded accumulator in fixed lane order.
@@ -1143,25 +1151,20 @@ impl<'a> FusedRun<'_, 'a, '_> {
     /// per-shape unrolled instantiations of [`Self::drive`] whose inner
     /// loops have compile-time trip counts; `(0, 0)` is the dynamic
     /// fallback for everything else.
-    fn drive_shape<S: Semi, const COUNT: bool>(
-        &mut self,
-        body: &mut RBody<'a, '_>,
-        s: S,
-        drive: FDrive<'a>,
-    ) {
+    fn drive_shape<S: Semi>(&mut self, body: &mut RBody<'a, '_>, s: S, drive: FDrive<'a>) {
         match (body.n_loads, body.n_folds) {
-            (2, 1) => self.drive::<S, COUNT, 2, 1>(body, s, drive),
-            (3, 2) => self.drive::<S, COUNT, 3, 2>(body, s, drive),
-            (4, 3) => self.drive::<S, COUNT, 4, 3>(body, s, drive),
-            (5, 4) => self.drive::<S, COUNT, 5, 4>(body, s, drive),
-            _ => self.drive::<S, COUNT, 0, 0>(body, s, drive),
+            (2, 1) => self.drive::<S, 2, 1>(body, s, drive),
+            (3, 2) => self.drive::<S, 3, 2>(body, s, drive),
+            (4, 3) => self.drive::<S, 4, 3>(body, s, drive),
+            (5, 4) => self.drive::<S, 5, 4>(body, s, drive),
+            _ => self.drive::<S, 0, 0>(body, s, drive),
         }
     }
 
     /// Drives the body over the loop's coordinates. `NL` / `NF` pin the
     /// load and fold counts at compile time (0 = read them from the
     /// body at runtime).
-    fn drive<S: Semi, const COUNT: bool, const NL: usize, const NF: usize>(
+    fn drive<S: Semi, const NL: usize, const NF: usize>(
         &mut self,
         body: &mut RBody<'a, '_>,
         s: S,
@@ -1170,13 +1173,13 @@ impl<'a> FusedRun<'_, 'a, '_> {
         match drive {
             FDrive::Range { lo, hi } => {
                 for c in lo..=hi {
-                    self.coord::<S, COUNT, NL, NF>(body, s, c, None, None);
+                    self.coord::<S, NL, NF>(body, s, c, None, None);
                 }
                 self.u[body.idx] = hi;
             }
             FDrive::Crd { vals, crd, start, stop } => {
                 for (pos, &c) in crd.iter().enumerate().take(stop).skip(start) {
-                    self.coord::<S, COUNT, NL, NF>(body, s, c, Some((vals, pos)), None);
+                    self.coord::<S, NL, NF>(body, s, c, Some((vals, pos)), None);
                 }
                 self.u[body.idx] = crd[stop - 1];
             }
@@ -1189,7 +1192,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
                     }
                     let c_hi = run_end[r].min(hi);
                     for c in c_lo..=c_hi {
-                        self.coord::<S, COUNT, NL, NF>(body, s, c, Some((vals, r)), None);
+                        self.coord::<S, NL, NF>(body, s, c, Some((vals, r)), None);
                     }
                     last = c_hi;
                 }
@@ -1198,13 +1201,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
             FDrive::Isect { vals, crd, start, stop, bvals, mut probe } => {
                 for (pos, &c) in crd.iter().enumerate().take(stop).skip(start) {
                     let pmatch = probe.find(c);
-                    self.coord::<S, COUNT, NL, NF>(
-                        body,
-                        s,
-                        c,
-                        Some((vals, pos)),
-                        Some((bvals, pmatch)),
-                    );
+                    self.coord::<S, NL, NF>(body, s, c, Some((vals, pos)), Some((bvals, pmatch)));
                 }
                 self.u[body.idx] = crd[stop - 1];
             }
@@ -1214,7 +1211,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
     /// Executes the body for one coordinate (the generic fused path:
     /// loads once into locals, then the straight-line folds).
     #[inline(always)]
-    fn coord<S: Semi, const COUNT: bool, const NL: usize, const NF: usize>(
+    fn coord<S: Semi, const NL: usize, const NF: usize>(
         &mut self,
         body: &mut RBody<'a, '_>,
         s: S,
@@ -1245,9 +1242,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
                     match pmatch {
                         Some(p) => {
                             locals[i] = pv[p];
-                            if COUNT {
-                                self.reads[tensor] += 1;
-                            }
+                            self.reads[tensor] += 1;
                         }
                         None => {
                             locals[i] = 0.0;
@@ -1270,9 +1265,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
                     match found {
                         Some(p) => {
                             locals[i] = self.vals[tensor][p];
-                            if COUNT {
-                                self.reads[tensor] += 1;
-                            }
+                            self.reads[tensor] += 1;
                         }
                         None => {
                             locals[i] = 0.0;
@@ -1314,10 +1307,8 @@ impl<'a> FusedRun<'_, 'a, '_> {
                         *cell = s.red(fold.op, *cell, v);
                     }
                 }
-                if COUNT {
-                    self.writes += u64::from(fold.hit_write);
-                    self.flops += u64::from(fold.hit_flop);
-                }
+                self.writes += u64::from(fold.hit_write);
+                self.flops += u64::from(fold.hit_flop);
             }
         }
         if use_lanes {
@@ -1331,19 +1322,11 @@ impl<'a> FusedRun<'_, 'a, '_> {
     /// Returns `false` when the shape or drive doesn't match — the
     /// generic fused path then runs.
     #[inline]
-    fn run_special<const COUNT: bool>(
-        &mut self,
-        fu: &Fused,
-        drive: &FDrive<'a>,
-        idx: usize,
-        lanes: bool,
-    ) -> bool {
+    fn run_special(&mut self, fu: &Fused, drive: &FDrive<'a>, idx: usize, lanes: bool) -> bool {
         match (fu.kind, fu.folds.as_ref()) {
-            (FusedBody::Dot, [fold]) => {
-                self.special_dot::<COUNT>(fold, &fu.loads, drive, idx, lanes)
-            }
+            (FusedBody::Dot, [fold]) => self.special_dot(fold, &fu.loads, drive, idx, lanes),
             (FusedBody::DotAxpy, [dot, axpy]) => {
-                self.special_dot_axpy::<COUNT>(dot, axpy, &fu.loads, drive, idx, lanes)
+                self.special_dot_axpy(dot, axpy, &fu.loads, drive, idx, lanes)
             }
             _ => false,
         }
@@ -1354,7 +1337,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
     /// probed value (SSYRK's intersection dot), with the accumulator in
     /// a machine register for the whole loop.
     #[inline]
-    fn special_dot<const COUNT: bool>(
+    fn special_dot(
         &mut self,
         fold: &FFold,
         loads: &[FLoad],
@@ -1365,7 +1348,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
         if loads.len() != 2 {
             return false;
         }
-        let Some((lead, a, mid, b)) = split_dot(self.f, fold) else {
+        let Some((chain, a, b)) = split_dot(self.f, fold) else {
             return false;
         };
         if a == b || !matches!(loads[a], FLoad::Val) {
@@ -1386,10 +1369,6 @@ impl<'a> FusedRun<'_, 'a, '_> {
             _ => unreachable!(),
         };
         let (bin, op) = (fold.bin, fold.op);
-        // Lane mode applies when the fold's reduction has an identity
-        // to seed the lanes with (always true for the proven-uniform
-        // semirings; checked for the dynamic fallback).
-        let lane_ident = if lanes { op.identity() } else { None };
         let acc = match &loads[b] {
             FLoad::Dense { tensor, base, stride } if !fold.check_miss => {
                 let xs = self.dense[*tensor];
@@ -1398,17 +1377,15 @@ impl<'a> FusedRun<'_, 'a, '_> {
                 match *drive {
                     FDrive::Crd { vals, crd, start, stop } => {
                         let (crd, avals) = (&crd[start..stop], &vals[start..stop]);
-                        let acc = dot_crd_dispatch(
-                            bin, op, lane_ident, lead, mid, acc0, crd, avals, xs, xb, xst,
-                        );
+                        let acc =
+                            dot_crd_dispatch(bin, op, lanes, chain, acc0, crd, avals, xs, xb, xst);
                         self.u[idx] = crd[crd.len() - 1];
                         acc
                     }
                     FDrive::Rle { vals, run_start, run_end, start, stop, lo, hi } => {
                         let args = RleArgs { vals, run_start, run_end, start, stop, lo, hi };
-                        let (acc, last) = dot_rle_dispatch(
-                            bin, op, lane_ident, lead, mid, acc0, &args, xs, xb, xst,
-                        );
+                        let (acc, last) =
+                            dot_rle_dispatch(bin, op, lanes, chain, acc0, &args, xs, xb, xst);
                         self.u[idx] = last;
                         acc
                     }
@@ -1422,19 +1399,16 @@ impl<'a> FusedRun<'_, 'a, '_> {
                     return false;
                 };
                 let (crd, avals) = (&crd[start..stop], &vals[start..stop]);
-                let (acc, hits) = isect_dot_dispatch(
-                    bin, op, lane_ident, lead, mid, acc0, crd, avals, bvals, probe,
-                );
-                if COUNT {
-                    // Per hit: one probe read plus the store side of the
-                    // miss-checked fold.
-                    self.reads[*pt] += hits;
-                    if op != AssignOp::Overwrite {
-                        self.flops += hits;
-                    }
-                    if matches!(fold.acc, FAcc::Out { .. }) {
-                        self.writes += hits;
-                    }
+                let (acc, hits) =
+                    isect_dot_dispatch(bin, op, lanes, chain, acc0, crd, avals, bvals, probe);
+                // Per hit: one probe read plus the store side of the
+                // miss-checked fold.
+                self.reads[*pt] += hits;
+                if op != AssignOp::Overwrite {
+                    self.flops += hits;
+                }
+                if matches!(fold.acc, FAcc::Out { .. }) {
+                    self.writes += hits;
                 }
                 self.u[idx] = crd[crd.len() - 1];
                 acc
@@ -1456,7 +1430,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
     /// SSYMV's symmetric pair over a compressed or run-length driver:
     /// a register-held scalar dot plus a strided reducing store,
     /// sharing the driver value (`w ∘= a ∘ x[c]; y[c] ∘= a ∘ k`).
-    fn special_dot_axpy<const COUNT: bool>(
+    fn special_dot_axpy(
         &mut self,
         dot: &FFold,
         axpy: &FFold,
@@ -1471,9 +1445,12 @@ impl<'a> FusedRun<'_, 'a, '_> {
         if loads.len() != 2 || dot.check_miss || axpy.check_miss {
             return false;
         }
-        let Some((None, a, None, b)) = split_dot(self.f, dot) else {
+        let Some((chain, a, b)) = split_dot(self.f, dot) else {
             return false;
         };
+        if chain.has_lead || chain.has_mid {
+            return false;
+        }
         if a == b || !matches!(loads[a], FLoad::Val) {
             return false;
         }
@@ -1501,7 +1478,6 @@ impl<'a> FusedRun<'_, 'a, '_> {
         // Only the dot side is register-held, so only its reduction
         // needs an identity for lane mode; the axpy stores stay
         // elementwise in original order either way.
-        let lane_ident = if lanes { dot.op.identity() } else { None };
         let uniform = dot.bin == axpy.bin && dot.op == axpy.op;
         match *drive {
             FDrive::Crd { vals, crd, start, stop } => {
@@ -1519,12 +1495,12 @@ impl<'a> FusedRun<'_, 'a, '_> {
                 };
                 let acc = match (uniform, dot.bin, dot.op) {
                     (true, BinOp::Mul, AssignOp::Add) => {
-                        dot_axpy_dispatch(MulAddSemi, dot, axpy, lane_ident, acc0, &args, ob.data)
+                        dot_axpy_dispatch(MulAddSemi, dot, axpy, lanes, acc0, &args, ob.data)
                     }
                     (true, BinOp::Add, AssignOp::Min) => {
-                        dot_axpy_dispatch(AddMinSemi, dot, axpy, lane_ident, acc0, &args, ob.data)
+                        dot_axpy_dispatch(AddMinSemi, dot, axpy, lanes, acc0, &args, ob.data)
                     }
-                    _ => dot_axpy_dispatch(DynSemi, dot, axpy, lane_ident, acc0, &args, ob.data),
+                    _ => dot_axpy_dispatch(DynSemi, dot, axpy, lanes, acc0, &args, ob.data),
                 };
                 self.f[slot] = acc;
                 self.u[idx] = crd[stop - 1];
@@ -1542,15 +1518,13 @@ impl<'a> FusedRun<'_, 'a, '_> {
                     ost: *ost,
                 };
                 let (acc, last) = match (uniform, dot.bin, dot.op) {
-                    (true, BinOp::Mul, AssignOp::Add) => dot_axpy_rle_dispatch(
-                        MulAddSemi, dot, axpy, lane_ident, acc0, &args, ob.data,
-                    ),
-                    (true, BinOp::Add, AssignOp::Min) => dot_axpy_rle_dispatch(
-                        AddMinSemi, dot, axpy, lane_ident, acc0, &args, ob.data,
-                    ),
-                    _ => {
-                        dot_axpy_rle_dispatch(DynSemi, dot, axpy, lane_ident, acc0, &args, ob.data)
+                    (true, BinOp::Mul, AssignOp::Add) => {
+                        dot_axpy_rle_dispatch(MulAddSemi, dot, axpy, lanes, acc0, &args, ob.data)
                     }
+                    (true, BinOp::Add, AssignOp::Min) => {
+                        dot_axpy_rle_dispatch(AddMinSemi, dot, axpy, lanes, acc0, &args, ob.data)
+                    }
+                    _ => dot_axpy_rle_dispatch(DynSemi, dot, axpy, lanes, acc0, &args, ob.data),
                 };
                 self.f[slot] = acc;
                 self.u[idx] = last;
@@ -1565,62 +1539,62 @@ impl<'a> FusedRun<'_, 'a, '_> {
 /// `[lead regs..., Local(a), (Reg mid)?, Local(b)]`, snapshotting (and
 /// pre-folding) the invariant registers. `None` = some other shape.
 #[inline]
-fn split_dot(f: &[f64], fold: &FFold) -> Option<(Option<f64>, usize, Option<f64>, usize)> {
+fn split_dot(f: &[f64], fold: &FFold) -> Option<(Chain, usize, usize)> {
     let mut srcs = fold.srcs.iter();
-    let mut lead: Option<f64> = None;
+    let mut chain = Chain::PLAIN;
     let a = loop {
         match srcs.next()? {
             FOp::Reg(r) => {
                 let v = f[*r];
-                lead = Some(match lead {
-                    None => v,
-                    Some(l) => fold.bin.apply(l, v),
-                });
+                chain.lead = if chain.has_lead { fold.bin.apply(chain.lead, v) } else { v };
+                chain.has_lead = true;
             }
             FOp::Local(l) => break *l,
         }
     };
-    let (mid, b) = match srcs.next()? {
+    let b = match srcs.next()? {
         FOp::Reg(r) => {
             let FOp::Local(l) = srcs.next()? else {
                 return None;
             };
-            (Some(f[*r]), *l)
+            chain.mid = f[*r];
+            chain.has_mid = true;
+            *l
         }
-        FOp::Local(l) => (None, *l),
+        FOp::Local(l) => *l,
     };
     if srcs.next().is_some() {
         return None;
     }
-    Some((lead, a, mid, b))
+    Some((chain, a, b))
 }
 
 /// One element of the dot chain: `red(acc, ([lead ∘] a [∘ mid]) ∘ b)`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn dot_chain<S: Semi>(
     s: S,
     bin: BinOp,
     op: AssignOp,
     acc: f64,
-    lead: Option<f64>,
+    chain: Chain,
     a: f64,
-    mid: Option<f64>,
     b: f64,
 ) -> f64 {
-    let v = chain_prefix(s, bin, lead, a, mid);
+    let v = chain_prefix(s, bin, chain, a);
     s.red(op, acc, s.bin(bin, v, b))
 }
 
-/// Dot over a compressed driver window (strict left-to-right scalar
-/// accumulation — [`LaneMode::Scalar`]).
+/// Dot over a compressed driver window at lane width `L`: window
+/// element `p` reduces into lane `p % L`. The chunked main loop is the
+/// straight-line shape the autovectorizer keeps in vector registers; at
+/// `L = 1` it never runs and the tail loop is the whole strict
+/// left-to-right fold.
 #[allow(clippy::too_many_arguments)]
-fn dot_crd<S: Semi>(
+fn dot_crd<S: Semi, const L: usize>(
     s: S,
     bin: BinOp,
     op: AssignOp,
-    lead: Option<f64>,
-    mid: Option<f64>,
+    chain: Chain,
     acc0: f64,
     crd: &[usize],
     avals: &[f64],
@@ -1628,64 +1602,37 @@ fn dot_crd<S: Semi>(
     xb: usize,
     xst: usize,
 ) -> f64 {
-    let mut acc = acc0;
-    for (&c, &a) in crd.iter().zip(avals) {
-        acc = dot_chain(s, bin, op, acc, lead, a, mid, xs[xb + c * xst]);
-    }
-    acc
-}
-
-/// Lane-mode dot over a compressed driver window: element `k` of the
-/// window reduces into lane `k % LANES`; the chunked main loop is the
-/// straight-line shape the autovectorizer keeps in vector registers,
-/// the remainder continues from lane 0 (window length mod `LANES`
-/// elements, so lane assignment stays position-pure).
-#[allow(clippy::too_many_arguments)]
-fn dot_crd_lanes<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    ident: f64,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    crd: &[usize],
-    avals: &[f64],
-    xs: &[f64],
-    xb: usize,
-    xst: usize,
-) -> f64 {
-    let mut lanes = [ident; LANES];
+    let mut lanes = lane_seed::<L>(op, acc0);
     let n = crd.len().min(avals.len());
-    // Fixed-size chunk references (`&[T; LANES]`) let the per-element
+    let split = if L == 1 { 0 } else { n / L * L };
+    // Fixed-size chunk references (`&[T; L]`) let the per-element
     // bounds checks fold away; the gather into `xs` is the one load the
     // optimizer still has to check.
     let mut base = 0;
-    while base + LANES <= n {
-        let c8: &[usize; LANES] = crd[base..base + LANES].try_into().expect("exact chunk");
-        let a8: &[f64; LANES] = avals[base..base + LANES].try_into().expect("exact chunk");
-        let va: [f64; LANES] = std::array::from_fn(|k| chain_prefix(s, bin, lead, a8[k], mid));
-        let xa: [f64; LANES] = std::array::from_fn(|k| xs[xb + c8[k] * xst]);
+    while base < split {
+        let c8: &[usize; L] = crd[base..base + L].try_into().expect("exact chunk");
+        let a8: &[f64; L] = avals[base..base + L].try_into().expect("exact chunk");
+        let va: [f64; L] = std::array::from_fn(|k| chain_prefix(s, bin, chain, a8[k]));
+        let xa: [f64; L] = std::array::from_fn(|k| xs[xb + c8[k] * xst]);
         lane_accumulate(s, bin, op, &mut lanes, va, xa);
-        base += LANES;
+        base += L;
     }
-    for (k, p) in (base..n).enumerate() {
-        lanes[k] = dot_chain(s, bin, op, lanes[k], lead, avals[p], mid, xs[xb + crd[p] * xst]);
+    // `split` is a multiple of `L`, so tail offset `k` is lane `p % L`.
+    for (k, (&c, &a)) in crd[split..n].iter().zip(&avals[split..n]).enumerate() {
+        let l = k % L;
+        lanes[l] = dot_chain(s, bin, op, lanes[l], chain, a, xs[xb + c * xst]);
     }
     lane_merge(s, op, acc0, &lanes)
 }
 
-/// Selects the semiring instantiation and lane/scalar variant of the
-/// compressed-driver dot. `lane_ident` is the lane seed under
-/// [`LaneMode::Lanes`] (`None` = scalar accumulation); windows shorter
-/// than [`LANE_MIN`] fold serially even in lane mode.
+/// Selects the semiring instantiation and lane width of the
+/// compressed-driver dot (see [`lanes_pay`]).
 #[allow(clippy::too_many_arguments)]
 fn dot_crd_dispatch(
     bin: BinOp,
     op: AssignOp,
-    lane_ident: Option<f64>,
-    lead: Option<f64>,
-    mid: Option<f64>,
+    lanes: bool,
+    chain: Chain,
     acc0: f64,
     crd: &[usize],
     avals: &[f64],
@@ -1699,9 +1646,8 @@ fn dot_crd_dispatch(
         s: S,
         bin: BinOp,
         op: AssignOp,
-        lane_ident: Option<f64>,
-        lead: Option<f64>,
-        mid: Option<f64>,
+        wide: bool,
+        chain: Chain,
         acc0: f64,
         crd: &[usize],
         avals: &[f64],
@@ -1709,21 +1655,21 @@ fn dot_crd_dispatch(
         xb: usize,
         xst: usize,
     ) -> f64 {
-        match lane_ident {
-            Some(id) if crd.len() > LANE_MIN => {
-                dot_crd_lanes(s, bin, op, id, lead, mid, acc0, crd, avals, xs, xb, xst)
-            }
-            _ => dot_crd(s, bin, op, lead, mid, acc0, crd, avals, xs, xb, xst),
+        if wide {
+            dot_crd::<S, LANES>(s, bin, op, chain, acc0, crd, avals, xs, xb, xst)
+        } else {
+            dot_crd::<S, 1>(s, bin, op, chain, acc0, crd, avals, xs, xb, xst)
         }
     }
+    let wide = lanes_pay(lanes, op, crd.len());
     match (bin, op) {
         (BinOp::Mul, AssignOp::Add) => {
-            go(MulAddSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, xs, xb, xst)
+            go(MulAddSemi, bin, op, wide, chain, acc0, crd, avals, xs, xb, xst)
         }
         (BinOp::Add, AssignOp::Min) => {
-            go(AddMinSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, xs, xb, xst)
+            go(AddMinSemi, bin, op, wide, chain, acc0, crd, avals, xs, xb, xst)
         }
-        _ => go(DynSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, xs, xb, xst),
+        _ => go(DynSemi, bin, op, wide, chain, acc0, crd, avals, xs, xb, xst),
     }
 }
 
@@ -1745,23 +1691,25 @@ impl RleArgs<'_> {
     }
 }
 
-/// Dot over a run-length driver window: the driver value is constant
-/// per run, so its chain prefix hoists out of the inner strided loop.
-/// Strict left-to-right scalar accumulation ([`LaneMode::Scalar`]).
+/// Dot over a run-length driver window at lane width `L`: the driver
+/// value is constant per run, so its chain prefix hoists out of the
+/// inner strided loop (and broadcasts across a chunk). Within each
+/// clamped run, offset `d` from the run's clamped start reduces into
+/// lane `d % L`, so the lane assignment depends only on the clamped run
+/// layout.
 #[allow(clippy::too_many_arguments)]
-fn dot_rle<S: Semi>(
+fn dot_rle<S: Semi, const L: usize>(
     s: S,
     bin: BinOp,
     op: AssignOp,
-    lead: Option<f64>,
-    mid: Option<f64>,
+    chain: Chain,
     acc0: f64,
     args: &RleArgs<'_>,
     xs: &[f64],
     xb: usize,
     xst: usize,
 ) -> (f64, usize) {
-    let mut acc = acc0;
+    let mut lanes = lane_seed::<L>(op, acc0);
     let mut last = args.lo;
     for r in args.start..args.stop {
         let c_lo = args.run_start[r].max(args.lo);
@@ -1769,75 +1717,38 @@ fn dot_rle<S: Semi>(
             break;
         }
         let c_hi = args.run_end[r].min(args.hi);
-        let v = chain_prefix(s, bin, lead, args.vals[r], mid);
-        for c in c_lo..=c_hi {
-            acc = s.red(op, acc, s.bin(bin, v, xs[xb + c * xst]));
-        }
-        last = c_hi;
-    }
-    (acc, last)
-}
-
-/// Lane-mode dot over a run-length driver window: within each clamped
-/// run, offset `d` from the run's clamped start reduces into lane
-/// `d % LANES` (the hoisted run value broadcast across the chunk), so
-/// the lane assignment depends only on the clamped run layout.
-#[allow(clippy::too_many_arguments)]
-fn dot_rle_lanes<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    ident: f64,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    args: &RleArgs<'_>,
-    xs: &[f64],
-    xb: usize,
-    xst: usize,
-) -> (f64, usize) {
-    let mut lanes = [ident; LANES];
-    let mut last = args.lo;
-    for r in args.start..args.stop {
-        let c_lo = args.run_start[r].max(args.lo);
-        if c_lo > args.hi {
-            break;
-        }
-        let c_hi = args.run_end[r].min(args.hi);
-        let v = chain_prefix(s, bin, lead, args.vals[r], mid);
-        let va = [v; LANES];
+        let v = chain_prefix(s, bin, chain, args.vals[r]);
+        let split = if L == 1 { c_lo } else { c_lo + (c_hi + 1 - c_lo) / L * L };
         let mut c = c_lo;
-        while c + LANES <= c_hi + 1 {
+        while c < split {
             // Unit stride reads a contiguous chunk — the one laned load
             // the optimizer can turn into straight vector loads.
-            let xa: [f64; LANES] = if xst == 1 {
-                *<&[f64; LANES]>::try_from(&xs[xb + c..xb + c + LANES]).expect("exact chunk")
+            let xa: [f64; L] = if xst == 1 {
+                *<&[f64; L]>::try_from(&xs[xb + c..xb + c + L]).expect("exact chunk")
             } else {
                 std::array::from_fn(|k| xs[xb + (c + k) * xst])
             };
-            lane_accumulate(s, bin, op, &mut lanes, va, xa);
-            c += LANES;
+            lane_accumulate(s, bin, op, &mut lanes, [v; L], xa);
+            c += L;
         }
-        let mut k = 0usize;
-        while c <= c_hi {
-            lanes[k] = s.red(op, lanes[k], s.bin(bin, v, xs[xb + c * xst]));
-            k += 1;
-            c += 1;
+        for (k, c) in (split..=c_hi).enumerate() {
+            let l = k % L;
+            lanes[l] = s.red(op, lanes[l], s.bin(bin, v, xs[xb + c * xst]));
         }
         last = c_hi;
     }
     (lane_merge(s, op, acc0, &lanes), last)
 }
 
-/// Selects the semiring instantiation and lane/scalar variant of the
-/// run-length dot (see [`dot_crd_dispatch`]).
+/// Selects the semiring instantiation and lane width of the run-length
+/// dot (see [`lanes_pay`]). The run extent bounds the element count
+/// from above; runs sparser than the extent still fold fast laned.
 #[allow(clippy::too_many_arguments)]
 fn dot_rle_dispatch(
     bin: BinOp,
     op: AssignOp,
-    lane_ident: Option<f64>,
-    lead: Option<f64>,
-    mid: Option<f64>,
+    lanes: bool,
+    chain: Chain,
     acc0: f64,
     args: &RleArgs<'_>,
     xs: &[f64],
@@ -1850,120 +1761,88 @@ fn dot_rle_dispatch(
         s: S,
         bin: BinOp,
         op: AssignOp,
-        lane_ident: Option<f64>,
-        lead: Option<f64>,
-        mid: Option<f64>,
+        wide: bool,
+        chain: Chain,
         acc0: f64,
         args: &RleArgs<'_>,
         xs: &[f64],
         xb: usize,
         xst: usize,
     ) -> (f64, usize) {
-        // The run extent bounds the element count from above; runs
-        // sparser than the extent still fold fast in the lane kernel.
-        match lane_ident {
-            Some(id) if args.extent() > LANE_MIN => {
-                dot_rle_lanes(s, bin, op, id, lead, mid, acc0, args, xs, xb, xst)
-            }
-            _ => dot_rle(s, bin, op, lead, mid, acc0, args, xs, xb, xst),
+        if wide {
+            dot_rle::<S, LANES>(s, bin, op, chain, acc0, args, xs, xb, xst)
+        } else {
+            dot_rle::<S, 1>(s, bin, op, chain, acc0, args, xs, xb, xst)
         }
     }
+    let wide = lanes_pay(lanes, op, args.extent());
     match (bin, op) {
         (BinOp::Mul, AssignOp::Add) => {
-            go(MulAddSemi, bin, op, lane_ident, lead, mid, acc0, args, xs, xb, xst)
+            go(MulAddSemi, bin, op, wide, chain, acc0, args, xs, xb, xst)
         }
         (BinOp::Add, AssignOp::Min) => {
-            go(AddMinSemi, bin, op, lane_ident, lead, mid, acc0, args, xs, xb, xst)
+            go(AddMinSemi, bin, op, wide, chain, acc0, args, xs, xb, xst)
         }
-        _ => go(DynSemi, bin, op, lane_ident, lead, mid, acc0, args, xs, xb, xst),
+        _ => go(DynSemi, bin, op, wide, chain, acc0, args, xs, xb, xst),
     }
 }
 
-/// Intersection dot: the driver window merged against the probed fiber
-/// with a forward-only cursor; on a miss the fold's value is unused and
-/// the store skipped, so the merge skips computing it without changing
-/// any state. Returns the accumulator and the hit count (for per-hit
-/// probe-read / store-side accounting). Strict left-to-right scalar
-/// accumulation ([`LaneMode::Scalar`]).
+/// Intersection dot at lane width `L`: the driver window merged against
+/// the probed fiber with a forward-only cursor; on a miss the fold's
+/// value is unused and the store skipped, so the merge skips computing
+/// it without changing any state. Driver position `p` reduces into lane
+/// `p % L` — a pure function of the driver window, independent of where
+/// misses fall (a missed position leaves its lane untouched that
+/// round). Position-keyed lanes keep the chunked loop's lane indices
+/// compile-time constants, so the accumulators live in registers even
+/// though hits are data-dependent. Returns the accumulator and the hit
+/// count (for per-hit probe-read / store-side accounting).
 #[allow(clippy::too_many_arguments)]
-fn isect_dot<S: Semi>(
+fn isect_dot<S: Semi, const L: usize>(
     s: S,
     bin: BinOp,
     op: AssignOp,
-    lead: Option<f64>,
-    mid: Option<f64>,
+    chain: Chain,
     acc0: f64,
     crd: &[usize],
     avals: &[f64],
     bvals: &[f64],
     mut probe: ProbeCur<'_>,
 ) -> (f64, u64) {
-    let mut acc = acc0;
-    let mut hits = 0u64;
-    for (&c, &a) in crd.iter().zip(avals) {
-        if let Some(p) = probe.find(c) {
-            acc = dot_chain(s, bin, op, acc, lead, a, mid, bvals[p]);
-            hits += 1;
-        }
-    }
-    (acc, hits)
-}
-
-/// Lane-mode intersection dot: driver position `p` reduces into lane
-/// `p % LANES` — a pure function of the driver window, independent of
-/// where misses fall (a missed position simply leaves its lane
-/// untouched that round). Position-keyed lanes keep the chunked loop's
-/// lane indices compile-time constants, so the accumulators live in
-/// registers even though hits are data-dependent. Dispatched only for
-/// dense probes, where hits are the common case (see
-/// [`isect_dot_dispatch`]).
-#[allow(clippy::too_many_arguments)]
-fn isect_dot_lanes<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    ident: f64,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    crd: &[usize],
-    avals: &[f64],
-    bvals: &[f64],
-    mut probe: ProbeCur<'_>,
-) -> (f64, u64) {
-    let mut lanes = [ident; LANES];
+    let mut lanes = lane_seed::<L>(op, acc0);
     let mut hits = 0u64;
     let n = crd.len().min(avals.len());
+    let split = if L == 1 { 0 } else { n / L * L };
     let mut base = 0;
-    while base + LANES <= n {
-        let c8: &[usize; LANES] = crd[base..base + LANES].try_into().expect("exact chunk");
-        let a8: &[f64; LANES] = avals[base..base + LANES].try_into().expect("exact chunk");
-        for k in 0..LANES {
+    while base < split {
+        let c8: &[usize; L] = crd[base..base + L].try_into().expect("exact chunk");
+        let a8: &[f64; L] = avals[base..base + L].try_into().expect("exact chunk");
+        for k in 0..L {
             if let Some(p) = probe.find(c8[k]) {
-                lanes[k] = dot_chain(s, bin, op, lanes[k], lead, a8[k], mid, bvals[p]);
+                lanes[k] = dot_chain(s, bin, op, lanes[k], chain, a8[k], bvals[p]);
                 hits += 1;
             }
         }
-        base += LANES;
+        base += L;
     }
-    for (k, p) in (base..n).enumerate() {
-        if let Some(q) = probe.find(crd[p]) {
-            lanes[k] = dot_chain(s, bin, op, lanes[k], lead, avals[p], mid, bvals[q]);
+    for (k, (&c, &a)) in crd[split..n].iter().zip(&avals[split..n]).enumerate() {
+        if let Some(p) = probe.find(c) {
+            let l = k % L;
+            lanes[l] = dot_chain(s, bin, op, lanes[l], chain, a, bvals[p]);
             hits += 1;
         }
     }
     (lane_merge(s, op, acc0, &lanes), hits)
 }
 
-/// Selects the semiring instantiation and lane/scalar variant of the
-/// intersection dot (see [`dot_crd_dispatch`]).
+/// Selects the semiring instantiation and lane width of the
+/// intersection dot (see [`lanes_pay`]).
 #[allow(clippy::too_many_arguments)]
 fn isect_dot_dispatch(
     bin: BinOp,
     op: AssignOp,
-    lane_ident: Option<f64>,
-    lead: Option<f64>,
-    mid: Option<f64>,
+    lanes: bool,
+    chain: Chain,
     acc0: f64,
     crd: &[usize],
     avals: &[f64],
@@ -1976,37 +1855,36 @@ fn isect_dot_dispatch(
         s: S,
         bin: BinOp,
         op: AssignOp,
-        lane_ident: Option<f64>,
-        lead: Option<f64>,
-        mid: Option<f64>,
+        wide: bool,
+        chain: Chain,
         acc0: f64,
         crd: &[usize],
         avals: &[f64],
         bvals: &[f64],
         probe: ProbeCur<'_>,
     ) -> (f64, u64) {
-        // Lanes pay off only when the probe is a constant-time dense
-        // index (near-every position hits, so the fold chain is what's
-        // on the critical path). Against galloping compressed or
-        // run-walking probes the serial cursor advance dominates and
-        // hits are sparse — the lane merge is pure tax there (measured
-        // ~10% loss on SSYRK), so those fold serially. The gate is a
-        // pure function of the probed level's format: deterministic.
-        match (lane_ident, probe) {
-            (Some(id), ProbeCur::Dense { .. }) if crd.len() > LANE_MIN => {
-                isect_dot_lanes(s, bin, op, id, lead, mid, acc0, crd, avals, bvals, probe)
-            }
-            _ => isect_dot(s, bin, op, lead, mid, acc0, crd, avals, bvals, probe),
+        if wide {
+            isect_dot::<S, LANES>(s, bin, op, chain, acc0, crd, avals, bvals, probe)
+        } else {
+            isect_dot::<S, 1>(s, bin, op, chain, acc0, crd, avals, bvals, probe)
         }
     }
+    // Lanes pay off only when the probe is a constant-time dense index
+    // (near-every position hits, so the fold chain is what's on the
+    // critical path). Against galloping compressed or run-walking
+    // probes the serial cursor advance dominates and hits are sparse —
+    // the lane merge is pure tax there (measured ~10% loss on SSYRK),
+    // so those fold serially. The gate is a pure function of the probed
+    // level's format: deterministic.
+    let wide = lanes_pay(lanes, op, crd.len()) && matches!(probe, ProbeCur::Dense { .. });
     match (bin, op) {
         (BinOp::Mul, AssignOp::Add) => {
-            go(MulAddSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, bvals, probe)
+            go(MulAddSemi, bin, op, wide, chain, acc0, crd, avals, bvals, probe)
         }
         (BinOp::Add, AssignOp::Min) => {
-            go(AddMinSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, bvals, probe)
+            go(AddMinSemi, bin, op, wide, chain, acc0, crd, avals, bvals, probe)
         }
-        _ => go(DynSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, bvals, probe),
+        _ => go(DynSemi, bin, op, wide, chain, acc0, crd, avals, bvals, probe),
     }
 }
 
@@ -2024,9 +1902,13 @@ struct DotAxpyArgs<'a> {
     ost: usize,
 }
 
-/// The symmetric dot + axpy pair over a compressed driver window.
-/// Strict left-to-right scalar accumulation ([`LaneMode::Scalar`]).
-fn dot_axpy_crd<S: Semi>(
+/// The symmetric dot + axpy pair over a compressed driver window at
+/// lane width `L`: the dot side lanes by window position (element `p`
+/// → lane `p % L`); the axpy side keeps its per-element stores in
+/// original order (the scattered cells are distinct — driver
+/// coordinates are strictly increasing — so store order carries no FP
+/// dependency anyway).
+fn dot_axpy_crd<S: Semi, const L: usize>(
     s: S,
     dot: &FFold,
     axpy: &FFold,
@@ -2034,75 +1916,50 @@ fn dot_axpy_crd<S: Semi>(
     args: &DotAxpyArgs<'_>,
     data: &mut [f64],
 ) -> f64 {
-    let mut acc = acc0;
-    for (&c, &a) in args.crd.iter().zip(args.avals) {
-        acc = s.red(dot.op, acc, s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
+    let mut lanes = lane_seed::<L>(dot.op, acc0);
+    let n = args.crd.len().min(args.avals.len());
+    let split = if L == 1 { 0 } else { n / L * L };
+    // One element: the dot fold into `acc`, then the axpy store.
+    let mut step = |acc: f64, c: usize, a: f64| {
+        let acc = s.red(dot.op, acc, s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
         let v = if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
         let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
         *cell = s.red(axpy.op, *cell, v);
-    }
-    acc
-}
-
-/// Lane-mode dot + axpy: the dot side lanes by window position
-/// (element `p` → lane `p % LANES`); the axpy side keeps its
-/// per-element stores in original order (the scattered cells are
-/// distinct — driver coordinates are strictly increasing — so store
-/// order carries no FP dependency anyway).
-fn dot_axpy_crd_lanes<S: Semi>(
-    s: S,
-    dot: &FFold,
-    axpy: &FFold,
-    ident: f64,
-    acc0: f64,
-    args: &DotAxpyArgs<'_>,
-    data: &mut [f64],
-) -> f64 {
-    let mut lanes = [ident; LANES];
-    let n = args.crd.len().min(args.avals.len());
+        acc
+    };
     // Chunked so `lanes[k]` is a compile-time index (register-resident
     // accumulators); element `base + k` lands in lane `k`, the same
-    // position-pure `p % LANES` assignment as the remainder loop.
+    // position-pure `p % L` assignment as the tail loop.
     let mut base = 0;
-    while base + LANES <= n {
-        let c8: &[usize; LANES] = args.crd[base..base + LANES].try_into().expect("exact chunk");
-        let a8: &[f64; LANES] = args.avals[base..base + LANES].try_into().expect("exact chunk");
-        for k in 0..LANES {
-            let (c, a) = (c8[k], a8[k]);
-            lanes[k] = s.red(dot.op, lanes[k], s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
-            let v =
-                if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
-            let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
-            *cell = s.red(axpy.op, *cell, v);
+    while base < split {
+        let c8: &[usize; L] = args.crd[base..base + L].try_into().expect("exact chunk");
+        let a8: &[f64; L] = args.avals[base..base + L].try_into().expect("exact chunk");
+        for k in 0..L {
+            lanes[k] = step(lanes[k], c8[k], a8[k]);
         }
-        base += LANES;
+        base += L;
     }
-    for (k, p) in (base..n).enumerate() {
-        let (c, a) = (args.crd[p], args.avals[p]);
-        lanes[k] = s.red(dot.op, lanes[k], s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
-        let v = if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
-        let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
-        *cell = s.red(axpy.op, *cell, v);
+    for (k, (&c, &a)) in args.crd[split..n].iter().zip(&args.avals[split..n]).enumerate() {
+        lanes[k % L] = step(lanes[k % L], c, a);
     }
     lane_merge(s, dot.op, acc0, &lanes)
 }
 
-/// Selects the lane/scalar variant of the dot + axpy pair (the
-/// semiring is already chosen at the call site).
+/// Selects the lane width of the dot + axpy pair (see [`lanes_pay`]);
+/// the semiring is already chosen at the call site.
 fn dot_axpy_dispatch<S: Semi>(
     s: S,
     dot: &FFold,
     axpy: &FFold,
-    lane_ident: Option<f64>,
+    lanes: bool,
     acc0: f64,
     args: &DotAxpyArgs<'_>,
     data: &mut [f64],
 ) -> f64 {
-    match lane_ident {
-        Some(id) if args.crd.len() > LANE_MIN => {
-            dot_axpy_crd_lanes(s, dot, axpy, id, acc0, args, data)
-        }
-        _ => dot_axpy_crd(s, dot, axpy, acc0, args, data),
+    if lanes_pay(lanes, dot.op, args.crd.len()) {
+        dot_axpy_crd::<S, LANES>(s, dot, axpy, acc0, args, data)
+    } else {
+        dot_axpy_crd::<S, 1>(s, dot, axpy, acc0, args, data)
     }
 }
 
@@ -2120,11 +1977,16 @@ struct DotAxpyRleArgs<'a> {
     ost: usize,
 }
 
-/// The symmetric dot + axpy pair over a run-length driver: both sides
-/// share the run's constant driver value, so the axpy contribution
-/// (`a ∘ k`) hoists out of the inner loop entirely. Strict
-/// left-to-right scalar accumulation ([`LaneMode::Scalar`]).
-fn dot_axpy_rle<S: Semi>(
+/// The symmetric dot + axpy pair over a run-length driver at lane width
+/// `L`: both sides share the run's constant driver value, so the axpy
+/// contribution (`a ∘ k`) hoists out of the inner loop entirely. The
+/// dot side lanes exactly like [`dot_rle`] (offset `d` from each
+/// clamped run's start → lane `d % L`, run value broadcast); the axpy
+/// side stays elementwise in original order — with a unit-stride output
+/// a chunk's stores are a contiguous read-modify-write of one hoisted
+/// constant, the shape the autovectorizer turns into straight vector
+/// ops.
+fn dot_axpy_rle<S: Semi, const L: usize>(
     s: S,
     dot: &FFold,
     axpy: &FFold,
@@ -2133,7 +1995,7 @@ fn dot_axpy_rle<S: Semi>(
     data: &mut [f64],
 ) -> (f64, usize) {
     let r = &args.rle;
-    let mut acc = acc0;
+    let mut lanes = lane_seed::<L>(dot.op, acc0);
     let mut last = r.lo;
     for run in r.start..r.stop {
         let c_lo = r.run_start[run].max(r.lo);
@@ -2143,98 +2005,56 @@ fn dot_axpy_rle<S: Semi>(
         let c_hi = r.run_end[run].min(r.hi);
         let a = r.vals[run];
         let v = if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
-        for c in c_lo..=c_hi {
-            acc = s.red(dot.op, acc, s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
-            let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
-            *cell = s.red(axpy.op, *cell, v);
-        }
-        last = c_hi;
-    }
-    (acc, last)
-}
-
-/// Lane-mode dot + axpy over a run-length driver: the dot side lanes
-/// exactly like [`dot_rle_lanes`] (offset `d` from each clamped run's
-/// start → lane `d % LANES`, run value broadcast); the axpy side stays
-/// elementwise in original order — with a unit-stride output the store
-/// loop is a contiguous read-modify-write of one hoisted constant, the
-/// shape the autovectorizer turns into straight vector ops.
-fn dot_axpy_rle_lanes<S: Semi>(
-    s: S,
-    dot: &FFold,
-    axpy: &FFold,
-    ident: f64,
-    acc0: f64,
-    args: &DotAxpyRleArgs<'_>,
-    data: &mut [f64],
-) -> (f64, usize) {
-    let r = &args.rle;
-    let mut lanes = [ident; LANES];
-    let mut last = r.lo;
-    for run in r.start..r.stop {
-        let c_lo = r.run_start[run].max(r.lo);
-        if c_lo > r.hi {
-            break;
-        }
-        let c_hi = r.run_end[run].min(r.hi);
-        let a = r.vals[run];
-        let va = [a; LANES];
-        let v = if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
+        let split = if L == 1 { c_lo } else { c_lo + (c_hi + 1 - c_lo) / L * L };
         let mut c = c_lo;
-        while c + LANES <= c_hi + 1 {
-            let xa: [f64; LANES] = if args.xst == 1 {
-                *<&[f64; LANES]>::try_from(&args.xs[args.xb + c..args.xb + c + LANES])
-                    .expect("exact chunk")
+        while c < split {
+            let xa: [f64; L] = if args.xst == 1 {
+                *<&[f64; L]>::try_from(&args.xs[args.xb + c..args.xb + c + L]).expect("exact chunk")
             } else {
-                std::array::from_fn(|kk| args.xs[args.xb + (c + kk) * args.xst])
+                std::array::from_fn(|k| args.xs[args.xb + (c + k) * args.xst])
             };
-            lane_accumulate(s, dot.bin, dot.op, &mut lanes, va, xa);
+            lane_accumulate(s, dot.bin, dot.op, &mut lanes, [a; L], xa);
             if args.ost == 1 {
                 let o = args.ooff + c - args.ob_base;
-                let d8: &mut [f64; LANES] =
-                    (&mut data[o..o + LANES]).try_into().expect("exact chunk");
+                let d8: &mut [f64; L] = (&mut data[o..o + L]).try_into().expect("exact chunk");
                 for cell in d8 {
                     *cell = s.red(axpy.op, *cell, v);
                 }
             } else {
-                for kk in 0..LANES {
-                    let cell = &mut data[args.ooff + (c + kk) * args.ost - args.ob_base];
+                for k in 0..L {
+                    let cell = &mut data[args.ooff + (c + k) * args.ost - args.ob_base];
                     *cell = s.red(axpy.op, *cell, v);
                 }
             }
-            c += LANES;
+            c += L;
         }
-        let mut kk = 0usize;
-        while c <= c_hi {
-            lanes[kk] =
-                s.red(dot.op, lanes[kk], s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
+        for (k, c) in (split..=c_hi).enumerate() {
+            let l = k % L;
+            lanes[l] = s.red(dot.op, lanes[l], s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
             let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
             *cell = s.red(axpy.op, *cell, v);
-            kk += 1;
-            c += 1;
         }
         last = c_hi;
     }
     (lane_merge(s, dot.op, acc0, &lanes), last)
 }
 
-/// Selects the lane/scalar variant of the run-length dot + axpy pair
-/// (the semiring is already chosen at the call site); the run extent
-/// gates the cutover exactly like [`dot_rle_dispatch`].
+/// Selects the lane width of the run-length dot + axpy pair (the
+/// semiring is already chosen at the call site); the run extent gates
+/// the cutover exactly like [`dot_rle_dispatch`].
 fn dot_axpy_rle_dispatch<S: Semi>(
     s: S,
     dot: &FFold,
     axpy: &FFold,
-    lane_ident: Option<f64>,
+    lanes: bool,
     acc0: f64,
     args: &DotAxpyRleArgs<'_>,
     data: &mut [f64],
 ) -> (f64, usize) {
-    match lane_ident {
-        Some(id) if args.rle.extent() > LANE_MIN => {
-            dot_axpy_rle_lanes(s, dot, axpy, id, acc0, args, data)
-        }
-        _ => dot_axpy_rle(s, dot, axpy, acc0, args, data),
+    if lanes_pay(lanes, dot.op, args.rle.extent()) {
+        dot_axpy_rle::<S, LANES>(s, dot, axpy, acc0, args, data)
+    } else {
+        dot_axpy_rle::<S, 1>(s, dot, axpy, acc0, args, data)
     }
 }
 
@@ -2279,7 +2099,6 @@ fn run_range<'a>(
     gathers: &mut GatherBank,
     counters: &mut CounterBank,
     chunk: Option<Chunk<'_>>,
-    mode: CounterMode,
     lanes: bool,
 ) {
     // Reset register files and vector-loop scratch (reusing capacity).
@@ -2730,7 +2549,7 @@ fn run_range<'a>(
                         dispatch[body_kind(fu.kind).index()] += 1;
                         let mut fr = fused_run!();
                         let drive = FDrive::Range { lo: lo_v as usize, hi: hi_v as usize };
-                        fr.run_mode(mode, fu, drive, *idx, iters);
+                        fr.run(fu, drive, *idx, iters);
                         flops += fr.flops;
                         writes += fr.writes;
                     } else if n_pass > 0 {
@@ -2781,7 +2600,7 @@ fn run_range<'a>(
                             dispatch[body_kind(fu.kind).index()] += 1;
                             let mut fr = fused_run!();
                             let drive = FDrive::Crd { vals: tvals, crd, start, stop };
-                            fr.run_mode(mode, fu, drive, *idx, iters);
+                            fr.run(fu, drive, *idx, iters);
                             flops += fr.flops;
                             writes += fr.writes;
                         } else if n_pass > 0 {
@@ -2852,7 +2671,7 @@ fn run_range<'a>(
                                     lo: lo_u,
                                     hi: hi_u,
                                 };
-                                fr.run_mode(mode, fu, drive, *idx, iters);
+                                fr.run(fu, drive, *idx, iters);
                                 flops += fr.flops;
                                 writes += fr.writes;
                             } else if n_pass > 0 {
@@ -2981,27 +2800,29 @@ fn run_range<'a>(
                                 // compile time: no entry-time shape
                                 // resolution at all (this loop is
                                 // entered per (i, j) pair).
-                                let count = mode == CounterMode::Exact;
-                                if count {
-                                    for &(t, n) in fu.bulk.reads.iter() {
-                                        reads[t] += n * iters;
-                                    }
-                                    flops += fu.bulk.flops * iters;
+                                for &(t, n) in fu.bulk.reads.iter() {
+                                    reads[t] += n * iters;
                                 }
+                                flops += fu.bulk.flops * iters;
                                 let (cw, aw) = (&crd[start..stop], &tvals[start..stop]);
                                 let acc0 = f[slot];
-                                let lane_ident =
-                                    if lanes && fu.lanes > 1 { op.identity() } else { None };
+                                let lanes = lanes && fu.lanes > 1;
                                 let (acc, hits) = isect_dot_dispatch(
-                                    bin, op, lane_ident, None, None, acc0, cw, aw, bvals, probe_cur,
+                                    bin,
+                                    op,
+                                    lanes,
+                                    Chain::PLAIN,
+                                    acc0,
+                                    cw,
+                                    aw,
+                                    bvals,
+                                    probe_cur,
                                 );
                                 f[slot] = acc;
                                 u[*idx] = crd[stop - 1];
-                                if count {
-                                    reads[pt] += hits;
-                                    if op != AssignOp::Overwrite {
-                                        flops += hits;
-                                    }
+                                reads[pt] += hits;
+                                if op != AssignOp::Overwrite {
+                                    flops += hits;
                                 }
                             } else {
                                 let mut fr = fused_run!();
@@ -3013,7 +2834,7 @@ fn run_range<'a>(
                                     bvals,
                                     probe: probe_cur,
                                 };
-                                fr.run_mode(mode, fu, drive, *idx, iters);
+                                fr.run(fu, drive, *idx, iters);
                                 flops += fr.flops;
                                 writes += fr.writes;
                             }
@@ -3162,7 +2983,6 @@ fn execute_inner(
         _ => None,
     };
 
-    let mode = ctx.counter_mode();
     let lanes = ctx.lane_mode() == LaneMode::Lanes;
     match plan {
         None => {
@@ -3175,7 +2995,7 @@ fn execute_inner(
             let Bank { u, f, vec_pass, vec_bases, gathers, counters, .. } = bank;
             run_range(
                 program, dense, vals, levels, outs, u, f, vec_pass, vec_bases, gathers, counters,
-                chunk, mode, lanes,
+                chunk, lanes,
             );
             bank.counters.write_to(program.tensors.iter().map(|t| t.name.as_str()), out_counters);
         }
@@ -3191,7 +3011,6 @@ fn execute_inner(
                 n_chunks,
                 threads,
                 out_counters,
-                mode,
                 lanes,
             );
         }
@@ -3226,7 +3045,6 @@ fn run_parallel<'a>(
     n_chunks: usize,
     threads: usize,
     out_counters: &mut Counters,
-    mode: CounterMode,
     lanes: bool,
 ) {
     let n_slots = program.tensors.len();
@@ -3307,7 +3125,6 @@ fn run_parallel<'a>(
                         gathers,
                         counters,
                         Some(chunk),
-                        mode,
                         lanes,
                     );
                 }

@@ -6,8 +6,8 @@
 //! allocator makes any regression an immediate test failure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use systec_codegen::{CompiledKernel, ExecContext, Parallelism};
 use systec_exec::{alloc_outputs, hoist_conditions, lower, Counters};
@@ -16,24 +16,37 @@ use systec_ir::{AssignOp, Einsum, Stmt};
 use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) forwarded to
-/// the system allocator.
+/// the system allocator, per thread: the test harness runs sibling
+/// tests concurrently on other threads, and their allocations must not
+/// land in a measured window. The measured runs are serial, so every
+/// allocation they make happens on the test's own thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and free of destructors, so touching it from
+    // inside the allocator never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only during thread teardown; nothing is being
+    // measured then.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,8 +58,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 fn compile(

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use systec_codegen::{CompiledKernel, CounterMode, ExecContext, LaneMode, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
 use systec_exec::{alloc_outputs, hoist_conditions, lower, run_lowered, Counters};
 use systec_ir::build::*;
 use systec_ir::{AssignOp, Stmt};
@@ -302,43 +302,4 @@ fn unmatched_body_falls_back_to_steps() {
             assert_eq!(c_vm, c_interp, "{label}: counter parity violated");
         }
     }
-}
-
-/// `CounterMode::Off` skips counter maintenance on the fused paths but
-/// leaves the outputs byte-identical to an exact-mode run.
-#[test]
-fn counter_off_mode_keeps_outputs_identical() {
-    let mut r = StdRng::seed_from_u64(9700);
-    let n = 8;
-    let prog = Stmt::loops(
-        [idx("i"), idx("j")],
-        assign(access("y", ["i"]), mul([access("A", ["i", "j"]), access("x", ["j"])])),
-    );
-    let mut inputs = HashMap::new();
-    inputs.insert(
-        "A".to_string(),
-        random_matrix(n, 12, &[LevelFormat::Dense, LevelFormat::Sparse], &mut r),
-    );
-    inputs.insert("x".to_string(), random_vec(n, &mut r));
-    let hoisted = hoist_conditions(prog);
-    let outputs_init = alloc_outputs(&hoisted, &inputs).unwrap();
-    let lowered = lower(&hoisted, &inputs, &outputs_init).unwrap();
-    let compiled = CompiledKernel::compile(&lowered, &inputs, &outputs_init).unwrap();
-
-    let mut exact_ctx = ExecContext::new();
-    let mut exact_out = outputs_init.clone();
-    let mut exact_counters = Counters::new();
-    compiled
-        .run_with(&inputs, &mut exact_out, &mut exact_ctx, Parallelism::Serial, &mut exact_counters)
-        .unwrap();
-
-    let mut off_ctx = ExecContext::new().with_counter_mode(CounterMode::Off);
-    let mut off_out = outputs_init;
-    let mut off_counters = Counters::new();
-    compiled
-        .run_with(&inputs, &mut off_out, &mut off_ctx, Parallelism::Serial, &mut off_counters)
-        .unwrap();
-
-    assert_eq!(exact_out["y"], off_out["y"], "counter mode must not affect outputs");
-    assert!(exact_counters.flops > 0, "exact mode counts work");
 }

@@ -86,8 +86,12 @@ impl ShardConn {
     }
 
     fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // Line and newline in one write: a separate one-byte write would
+        // wait out the worker's delayed ACK (~40 ms) under Nagle.
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.writer.write_all(&framed)?;
         self.writer.flush()
     }
 
@@ -981,11 +985,10 @@ fn serve_conn(stream: &TcpStream, router: &Arc<Router>) {
     };
     for line in BufReader::new(read_half).lines() {
         let Ok(line) = line else { break };
-        let response = router.respond(&line);
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
+        // One write per response line (see `ShardConn::send_line`).
+        let mut response = router.respond(&line);
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
             break;
         }
         if router.shutdown.load(Ordering::SeqCst) {

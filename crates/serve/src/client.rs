@@ -68,8 +68,12 @@ impl Client {
     /// Propagates socket errors; a closed connection surfaces as
     /// [`std::io::ErrorKind::UnexpectedEof`].
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // Line and newline in one write: a separate one-byte write would
+        // wait out the peer's delayed ACK (~40 ms) under Nagle.
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.writer.write_all(&framed)?;
         self.writer.flush()?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;

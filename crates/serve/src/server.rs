@@ -46,7 +46,7 @@
 //! fault tier via [`RunningServer::active_connections`]).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -322,9 +322,11 @@ impl Conn {
         let mut progress = false;
         while let Some(front) = self.out.front_mut() {
             let bytes = front.line.as_bytes();
-            let chunk: &[u8] =
-                if front.written < bytes.len() { &bytes[front.written..] } else { b"\n" };
-            match self.stream.write(chunk) {
+            // The rest of the line and its newline in one `writev`: a
+            // separate one-byte write would wait out the client's
+            // delayed ACK (~40 ms) under Nagle.
+            let rest = &bytes[front.written..];
+            match self.stream.write_vectored(&[IoSlice::new(rest), IoSlice::new(b"\n")]) {
                 Ok(0) => {
                     self.dead = true;
                     break;

@@ -25,8 +25,17 @@ use systec_serve::protocol::{
 };
 use systec_serve::{serve, Client, Engine};
 
+/// The tests here that run parallel kernels submit to the
+/// process-global `rayon` pool; they hold this lock so the pool-reuse
+/// assertion sees only its own test's tasks.
+fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[test]
 fn faulty_connections_are_isolated_and_shutdown_leaks_nothing() {
+    let _pool = pool_lock();
     let common::Harness { server, kernel, oracle } = common::warmed_server();
     let addr = server.addr();
 
@@ -97,25 +106,34 @@ fn faulty_connections_are_isolated_and_shutdown_leaks_nothing() {
     assert!(matches!(resp, Response::Error { code: ErrorCode::BadTensor, .. }), "{resp:?}");
     assert_eq!(faulty.request(&Request::Ping).unwrap(), Response::Pong, "still alive after all");
 
-    // Let the victim overlap the faults for a while, then take the
-    // pool-reuse snapshot: steady-state parallel serving must not keep
-    // spawning pool workers (PR 4's persistent-pool guarantee).
-    let workers_after_warmup = rayon::pool_workers_spawned();
+    // Let the victim overlap the faults and a burst of runs on a
+    // second connection.
     let mut churn = Client::connect(addr).unwrap();
-    for _ in 0..50 {
-        let line =
-            churn.send_raw(&Request::Run { kernel, full: false, shard: None }.encode()).unwrap();
-        assert!(matches!(Response::decode(&line), Ok(Response::Ran { .. })));
-    }
+    let run_burst = |churn: &mut Client| {
+        for _ in 0..50 {
+            let line = churn
+                .send_raw(&Request::Run { kernel, full: false, shard: None }.encode())
+                .unwrap();
+            assert!(matches!(Response::decode(&line), Ok(Response::Ran { .. })));
+        }
+    };
+    run_burst(&mut churn);
+    stop.store(true, Ordering::SeqCst);
+    let victim_runs = victim.join().expect("victim connection never errored");
+    assert!(victim_runs > 1, "the well-behaved connection made progress throughout");
+
+    // Pool reuse: steady-state parallel serving must not keep spawning
+    // pool workers (PR 4's persistent-pool guarantee). Two concurrent
+    // run streams may grow the pool to their peak demand, so the
+    // snapshot is taken once the run concurrency is back to the one
+    // connection the second burst uses.
+    let workers_after_warmup = rayon::pool_workers_spawned();
+    run_burst(&mut churn);
     assert_eq!(
         rayon::pool_workers_spawned(),
         workers_after_warmup,
         "steady-state serving reuses parked pool workers"
     );
-
-    stop.store(true, Ordering::SeqCst);
-    let victim_runs = victim.join().expect("victim connection never errored");
-    assert!(victim_runs > 1, "the well-behaved connection made progress throughout");
 
     // Error accounting: 4 garbage lines + 3 semantic errors + the
     // mid-request disconnect (EOF delivers its partial line, which
@@ -205,6 +223,8 @@ fn programmatic_shutdown_joins_all_handlers() {
 #[test]
 fn a_panicking_spec_is_circuit_broken_at_prepare_over_the_wire() {
     use std::sync::Arc;
+
+    let _pool = pool_lock();
     use systec_serve::{FaultSite, ServerConfig};
 
     // Every run of the harness spec panics. Budget 2: two full

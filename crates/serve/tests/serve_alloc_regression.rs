@@ -9,28 +9,42 @@
 //! request by design).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use systec_serve::protocol::{Placement, Request, Response, StorageFormat, TensorPayload, Variant};
 use systec_serve::Engine;
 
+/// Counts allocations per thread: the test harness allocates on its
+/// own threads (spawning the next test, collecting results) at any
+/// moment, and the measured runs are serial (`threads: 1`), so every
+/// allocation on their execution path happens on the test's thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and free of destructors, so touching it from
+    // inside the allocator never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only during thread teardown; nothing is being
+    // measured then.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -42,13 +56,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
-/// The two tests below each measure a delta of the process-global
-/// counter; serialize them so one test's warmup never lands inside the
-/// other's measured region.
+/// The tests below switch the process-global telemetry mode; serialize
+/// them so one test never runs under another's mode.
 fn measurement_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -165,8 +179,7 @@ fn interleaving_kernels_stays_allocation_free_once_both_are_warm() {
 fn telemetry_off_freezes_recording_without_changing_results() {
     use systec_telemetry::{set_mode, TelemetryMode};
 
-    // Mirrors the exact-parity counters' `CounterMode::Off` test: the
-    // global switch must change *observability only* — served bytes
+    // The global switch must change *observability only* — served bytes
     // stay identical — while histograms and counters freeze. Runs
     // under the measurement lock because the mode is process-global.
     let _serialized = measurement_lock();

@@ -14,8 +14,7 @@
 //!    single atomics, and both are `const`-constructible so the global
 //!    registry is a `static` with no lazy-init branch.
 //! 2. **Recording is globally gateable.** [`TelemetryMode::Off`]
-//!    reduces every record call to one relaxed load, mirroring the
-//!    exact-parity counters' `CounterMode::Off`, and is used by the
+//!    reduces every record call to one relaxed load, and is used by the
 //!    serve alloc-regression tier to prove on/off output parity.
 //! 3. **Exposition is deterministic.** All exported values are
 //!    integers (nanoseconds, counts); the [`prom`] writer emits
@@ -41,8 +40,7 @@ use std::time::Instant;
 // Global mode
 // ---------------------------------------------------------------------------
 
-/// Process-wide recording switch, mirroring the exact-parity work
-/// counters' `CounterMode`: `Off` turns every record call into a
+/// Process-wide recording switch: `Off` turns every record call into a
 /// single relaxed load so telemetry can be excluded as a variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TelemetryMode {
